@@ -15,11 +15,11 @@ fn bench_transactions(c: &mut Criterion) {
         ("icc_smt_covert", IChannel::icc_smt_covert()),
         ("icc_cores_covert", IChannel::icc_cores_covert()),
     ] {
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let symbols = random_symbols(4, 7);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let tx = ch.transmit_symbols(&symbols, &cal);
+                let tx = ch.transmit_symbols(&symbols, &cal).expect("clean schedule");
                 assert_eq!(tx.sent.len(), 4);
                 tx
             })
@@ -32,7 +32,9 @@ fn bench_calibration(c: &mut Criterion) {
     let mut group = c.benchmark_group("calibration");
     group.sample_size(10);
     let ch = IChannel::icc_thread_covert();
-    group.bench_function("calibrate_2_reps", |b| b.iter(|| ch.calibrate(2)));
+    group.bench_function("calibrate_2_reps", |b| {
+        b.iter(|| ch.calibrate(2).expect("clean schedule"))
+    });
     group.finish();
 }
 
@@ -57,7 +59,7 @@ fn bench_coding(c: &mut Criterion) {
         })
     });
     let ch = IChannel::icc_thread_covert();
-    let cal = ch.calibrate(2);
+    let cal = ch.calibrate(2).expect("clean schedule");
     c.bench_function("nearest_mean_decode", |b| {
         b.iter(|| {
             let mut acc = 0u8;

@@ -20,41 +20,13 @@ use ichannels_workload::loops::{instructions_for_duration, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use super::{two_level_means, BitTx};
 use crate::channel::ChannelConfig;
 
 /// The NetSpectre-style 1-bit covert channel.
 #[derive(Debug, Clone)]
 pub struct NetSpectreChannel {
     cfg: ChannelConfig,
-}
-
-/// A decoded NetSpectre transmission.
-#[derive(Debug, Clone)]
-pub struct NetSpectreTx {
-    /// Bits sent.
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Raw receiver durations (TSC cycles).
-    pub durations: Vec<u64>,
-    /// Throughput in bits/s (1 bit per slot).
-    pub throughput_bps: f64,
-}
-
-impl NetSpectreTx {
-    /// Fraction of wrong bits.
-    pub fn bit_error_rate(&self) -> f64 {
-        if self.sent.is_empty() {
-            return 0.0;
-        }
-        let wrong = self
-            .sent
-            .iter()
-            .zip(&self.received)
-            .filter(|(a, b)| a != b)
-            .count();
-        wrong as f64 / self.sent.len() as f64
-    }
 }
 
 impl NetSpectreChannel {
@@ -111,29 +83,15 @@ impl NetSpectreChannel {
     /// Calibrates the two duration levels: returns `(mean_one, mean_zero)`
     /// in TSC cycles.
     pub fn calibrate(&self, reps: usize) -> (f64, f64) {
-        let ones = self.run_bits(&vec![true; reps]);
-        let zeros = self.run_bits(&vec![false; reps]);
-        let mean = |v: &[u64]| v.iter().map(|&x| x as f64).sum::<f64>() / v.len() as f64;
-        (mean(&ones), mean(&zeros))
+        two_level_means(|bits| self.run_bits(bits), reps)
     }
 
-    /// Transmits bits and decodes against the calibrated means.
-    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> NetSpectreTx {
-        let durations = self.run_bits(bits);
-        let received: Vec<bool> = durations
-            .iter()
-            .map(|&d| {
-                let d = d as f64;
-                (d - cal.0).abs() < (d - cal.1).abs()
-            })
-            .collect();
+    /// Transmits bits and decodes against the calibrated means (1 bit
+    /// per slot).
+    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> BitTx {
         let elapsed = self.cfg.slot_period.scale(bits.len() as f64);
-        NetSpectreTx {
-            sent: bits.to_vec(),
-            received,
-            durations,
-            throughput_bps: bits.len() as f64 / elapsed.as_secs(),
-        }
+        let bps = bits.len() as f64 / elapsed.as_secs();
+        BitTx::decode(bits, self.run_bits(bits), cal, bps)
     }
 }
 

@@ -16,6 +16,8 @@ use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::SimTime;
 use ichannels_workload::loops::Recorder;
 
+use super::{two_level_means, BitTx};
+
 /// TurboCC channel configuration.
 #[derive(Debug, Clone)]
 pub struct TurboCcConfig {
@@ -45,35 +47,6 @@ impl Default for TurboCcConfig {
 #[derive(Debug, Clone, Default)]
 pub struct TurboCcChannel {
     cfg: TurboCcConfig,
-}
-
-/// A decoded TurboCC transmission.
-#[derive(Debug, Clone)]
-pub struct TurboCcTx {
-    /// Bits sent.
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Probe durations (TSC cycles), one per bit.
-    pub durations: Vec<u64>,
-    /// Throughput in bits/s.
-    pub throughput_bps: f64,
-}
-
-impl TurboCcTx {
-    /// Fraction of wrong bits.
-    pub fn bit_error_rate(&self) -> f64 {
-        if self.sent.is_empty() {
-            return 0.0;
-        }
-        let wrong = self
-            .sent
-            .iter()
-            .zip(&self.received)
-            .filter(|(a, b)| a != b)
-            .count();
-        wrong as f64 / self.sent.len() as f64
-    }
 }
 
 impl TurboCcChannel {
@@ -131,28 +104,13 @@ impl TurboCcChannel {
 
     /// Calibrates `(mean_one, mean_zero)` probe durations.
     pub fn calibrate(&self, reps: usize) -> (f64, f64) {
-        let ones = self.run_bits(&vec![true; reps]);
-        let zeros = self.run_bits(&vec![false; reps]);
-        let mean = |v: &[u64]| v.iter().map(|&x| x as f64).sum::<f64>() / v.len().max(1) as f64;
-        (mean(&ones), mean(&zeros))
+        two_level_means(|bits| self.run_bits(bits), reps)
     }
 
     /// Transmits and decodes a bit sequence.
-    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> TurboCcTx {
-        let durations = self.run_bits(bits);
-        let received: Vec<bool> = durations
-            .iter()
-            .map(|&d| {
-                let d = d as f64;
-                (d - cal.0).abs() < (d - cal.1).abs()
-            })
-            .collect();
-        TurboCcTx {
-            sent: bits.to_vec(),
-            received,
-            durations,
-            throughput_bps: 1.0 / self.cfg.bit_period.as_secs(),
-        }
+    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> BitTx {
+        let bps = 1.0 / self.cfg.bit_period.as_secs();
+        BitTx::decode(bits, self.run_bits(bits), cal, bps)
     }
 }
 

@@ -47,34 +47,20 @@ impl Calibration {
     /// Derives the calibration for a channel configuration through the
     /// process-wide memo cache: the first call for a given
     /// [`fingerprint`] runs the four per-level training transmissions,
-    /// every later call returns the memoized (identical) means.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is zero, if the kind/platform combination is
-    /// unsupported, or if the training run itself fails (see
-    /// [`Calibration::try_for_config`] for the fallible form).
-    pub fn for_config(kind: ChannelKind, cfg: &ChannelConfig, reps: usize) -> Self {
-        // lint:allow(R001): documented panicking wrapper; callers who
-        // need to handle the error use try_for_config.
-        Self::try_for_config(kind, cfg, reps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Calibration::for_config`]: a broken
+    /// every later call returns the memoized (identical) means. A broken
     /// configuration (e.g. a slot period too short for the PHI loop)
-    /// returns the [`ChannelError`] of the failing training run instead
-    /// of panicking. Errors are never cached.
+    /// returns the [`ChannelError`] of the failing training run; errors
+    /// are never cached.
     ///
     /// # Errors
     ///
-    /// Propagates the [`ChannelError`] of the first failing training
-    /// transmission.
+    /// Propagates the [`ChannelError`] of a failing training run.
     ///
     /// # Panics
     ///
     /// Panics if `reps` is zero or the kind/platform combination is
     /// unsupported.
-    pub fn try_for_config(
+    pub fn for_config(
         kind: ChannelKind,
         cfg: &ChannelConfig,
         reps: usize,
@@ -82,13 +68,11 @@ impl Calibration {
         assert!(reps > 0, "calibration needs at least one repetition");
         let means = memoized_means(
             || fingerprint(kind, cfg, reps),
-            || calibrate_uncached(kind, cfg, reps).map(|cal| cal.means.to_vec()),
+            || calibrate_uncached(kind, cfg, reps),
         )?;
-        let mut arr = [0.0f64; 4];
-        for (slot, m) in arr.iter_mut().zip(&means) {
-            *slot = *m;
-        }
-        Ok(Calibration::from_means(arr))
+        Ok(Calibration::from_means(std::array::from_fn(|i| {
+            means.get(i).copied().unwrap_or(0.0)
+        })))
     }
 
     /// Per-symbol mean durations (TSC cycles).
@@ -169,21 +153,20 @@ impl Calibration {
 
 /// Runs the four per-level training transmissions on one re-armed
 /// [`SymbolRun`] — the Soc-building invariants (instruction counts,
-/// slot schedule) are derived once and reused across the four runs.
+/// slot schedule) are derived once and reused across the four runs —
+/// and returns the four level means.
 fn calibrate_uncached(
     kind: ChannelKind,
     cfg: &ChannelConfig,
     reps: usize,
-) -> Result<Calibration, ChannelError> {
-    let channel = IChannel::new(kind, cfg.clone());
-    let mut run = SymbolRun::new(&channel);
-    let mut means = [0.0f64; 4];
-    for (i, mean) in means.iter_mut().enumerate() {
-        let symbols = vec![Symbol::new(i as u8); reps];
-        let durations = run.run(&symbols, |_| {})?;
-        *mean = durations.iter().map(|&d| d as f64).sum::<f64>() / reps as f64;
-    }
-    Ok(Calibration::from_means(means))
+) -> Result<Vec<f64>, ChannelError> {
+    let mut run = SymbolRun::new(&IChannel::new(kind, cfg.clone()));
+    (0..4u8)
+        .map(|level| {
+            let durations = run.run(&vec![Symbol::new(level); reps], |_| {})?;
+            Ok(durations.iter().map(|&d| d as f64).sum::<f64>() / reps as f64)
+        })
+        .collect()
 }
 
 /// The memo key of one calibration: a stable rendering of **exactly**

@@ -91,7 +91,7 @@ mod tests {
             IChannel::icc_smt_covert(),
             IChannel::icc_cores_covert(),
         ] {
-            let cal = ch.calibrate(3);
+            let cal = ch.calibrate(3).expect("clean schedule");
             let msg = [
                 Symbol::new(2),
                 Symbol::new(0),
@@ -100,7 +100,7 @@ mod tests {
                 Symbol::new(3),
                 Symbol::new(0),
             ];
-            let tx = ch.transmit_symbols(&msg, &cal);
+            let tx = ch.transmit_symbols(&msg, &cal).expect("clean schedule");
             assert_eq!(tx.received, msg, "{} failed", ch.kind());
             assert_eq!(tx.bit_error_rate(), 0.0);
         }
@@ -109,9 +109,9 @@ mod tests {
     #[test]
     fn throughput_is_about_2_9_kbps() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let msg = vec![Symbol::new(1); 10];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.transmit_symbols(&msg, &cal).expect("clean schedule");
         let bps = tx.throughput_bps();
         assert!((2_800.0..3_000.0).contains(&bps), "throughput = {bps} b/s");
     }
@@ -119,16 +119,16 @@ mod tests {
     #[test]
     fn transmit_bits_api() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let bits = [true, false, false, true, true, true];
-        let tx = ch.transmit_bits(&bits, &cal);
+        let tx = ch.transmit_bits(&bits, &cal).expect("clean schedule");
         assert_eq!(crate::symbols::symbols_to_bits(&tx.received), bits);
     }
 
     #[test]
     fn calibration_separation_exceeds_2k_cycles() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(3);
+        let cal = ch.calibrate(3).expect("clean schedule");
         assert!(
             cal.min_separation_cycles() > 1800.0,
             "separation = {}",
@@ -184,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_reproduces_the_fixed_receiver_bit_for_bit() {
+    fn legacy_mode_reproduces_the_fixed_receiver_bit_for_bit() -> Result<(), ChannelError> {
         // On a client rail the calibrated mode resolves to the identity
         // tuning, so the whole transmission is byte-identical to the
         // explicit legacy mode.
@@ -196,15 +196,16 @@ mod tests {
         let legacy = IChannel::new(ChannelKind::Cores, legacy_cfg);
         assert!(calibrated.tuning().is_legacy());
         let msg = [Symbol::new(1), Symbol::new(3), Symbol::new(0)];
-        let (ca, cb) = (calibrated.calibrate(2), legacy.calibrate(2));
+        let (ca, cb) = (calibrated.calibrate(2)?, legacy.calibrate(2)?);
         assert_eq!(ca, cb);
         let (ta, tb) = (
-            calibrated.transmit_symbols(&msg, &ca),
-            legacy.transmit_symbols(&msg, &cb),
+            calibrated.transmit_symbols(&msg, &ca)?,
+            legacy.transmit_symbols(&msg, &cb)?,
         );
         assert_eq!(ta.durations, tb.durations);
         assert_eq!(ta.received, tb.received);
         assert_eq!(ta.elapsed, tb.elapsed);
+        Ok(())
     }
 
     #[test]
@@ -216,9 +217,9 @@ mod tests {
         assert!(!tuning.is_legacy());
         let votes = tuning.votes as usize;
         assert_eq!(ch.slots_per_symbol(), votes);
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let msg = [Symbol::new(0), Symbol::new(3), Symbol::new(2)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.transmit_symbols(&msg, &cal).expect("clean schedule");
         assert_eq!(tx.received, msg, "voted decode should be clean");
         assert_eq!(tx.durations.len(), msg.len() * votes);
         assert_eq!(
@@ -256,9 +257,9 @@ mod tests {
         let mut cfg = ChannelConfig::default_cannon_lake();
         cfg.soc = SocConfig::pinned(PlatformSpec::coffee_lake(), Freq::from_ghz(2.0));
         let ch = IChannel::new(ChannelKind::Cores, cfg);
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let msg = [Symbol::new(0), Symbol::new(3), Symbol::new(2)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.transmit_symbols(&msg, &cal).expect("clean schedule");
         assert_eq!(tx.received, msg);
     }
 
@@ -279,6 +280,9 @@ mod tests {
 
     #[test]
     fn broken_slot_schedule_is_a_typed_error() {
+        use crate::mitigations::{evaluate_mitigation, Mitigation};
+        use crate::{ber, protocol::FramedLink, sync};
+
         // A slot period far too short for the PHI loop collapses the
         // schedule: the receiver cannot record every transaction before
         // the deadline. This must surface as a ChannelError, not a
@@ -304,20 +308,30 @@ mod tests {
             err.to_string().contains("missed transactions"),
             "unreadable: {err}"
         );
-        // The same failure propagates out of calibration.
-        assert!(ch.try_calibrate(2).is_err());
+        // The same failure propagates out of calibration and out of
+        // every library entry point that transmits.
+        assert!(ch.calibrate(2).is_err());
+        let cal = Calibration::from_means([4000.0, 3000.0, 2000.0, 1000.0]);
+        assert!(ch.transmit_symbols(&[Symbol::new(3); 8], &cal).is_err());
+        assert!(ch.transmit_bits(&[true; 16], &cal).is_err());
+        assert!(ber::evaluate(&ch, &cal, 8, 1).is_err());
+        let (kind, cfg) = (ch.kind(), ch.config());
+        assert!(evaluate_mitigation(Mitigation::SecureMode, kind, cfg, 8, 1, 1).is_err());
+        assert!(FramedLink::new(&ch, &cal, 1).transfer(b"covert").is_err());
+        let (preamble, step) = (sync::default_preamble(), SimTime::from_us(1.0));
+        assert!(sync::recover_offset(kind, cfg, &cal, &preamble, step, step).is_err());
     }
 
     #[test]
-    fn calibration_memo_is_transparent() {
+    fn calibration_memo_is_transparent() -> Result<(), ChannelError> {
         // for_config equals an uncached computation, hit or miss, and
         // the memoized calibrate() path equals the fingerprint path.
         let cfg = ChannelConfig::default_cannon_lake();
-        let memoized = Calibration::for_config(ChannelKind::Thread, &cfg, 2);
-        let again = Calibration::for_config(ChannelKind::Thread, &cfg, 2);
+        let memoized = Calibration::for_config(ChannelKind::Thread, &cfg, 2)?;
+        let again = Calibration::for_config(ChannelKind::Thread, &cfg, 2)?;
         assert_eq!(memoized, again);
         assert_eq!(
-            IChannel::new(ChannelKind::Thread, cfg.clone()).calibrate(2),
+            IChannel::new(ChannelKind::Thread, cfg.clone()).calibrate(2)?,
             memoized
         );
         // The fingerprint is a pure function of the config…
@@ -338,6 +352,7 @@ mod tests {
                 calibration::fingerprint(ChannelKind::Thread, &cfg, 2)
             );
         }
+        Ok(())
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use ichannels_meter::stats::ConfusionMatrix;
 use ichannels_soc::config::SocConfig;
 use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
@@ -82,6 +83,13 @@ impl Transmission {
             return 0.0;
         }
         (self.sent.len() as f64 * 2.0) / self.elapsed.as_secs()
+    }
+
+    /// Records every (sent, received) symbol pair into `confusion`.
+    pub fn record_into(&self, confusion: &mut ConfusionMatrix) {
+        for (s, r) in self.sent.iter().zip(&self.received) {
+            confusion.record(s.value() as usize, r.value() as usize);
+        }
     }
 
     /// Fraction of wrong bits.
@@ -294,19 +302,7 @@ impl SymbolRun {
         }
 
         let deadline = self.start_offset + self.slot_period.scale((symbols.len() + 2) as f64);
-        // Per-rearm SoC stepping time. The Instant is taken only while
-        // telemetry is on; timing lives strictly out-of-band and never
-        // feeds back into the simulation.
-        // lint:allow(D002): telemetry-gated span timing; off by default
-        // and never part of campaign bytes.
-        let stepping = ichannels_obs::enabled().then(std::time::Instant::now);
-        soc.run_until_idle(deadline);
-        if let Some(started) = stepping {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ichannels_obs::observe("soc.step_ns", ns);
-            ichannels_obs::counter_add("soc.slots_simulated", symbols.len() as u64);
-            ichannels_obs::counter_add("soc.rearms", 1);
-        }
+        run_until_idle_timed(soc, deadline, symbols.len() as u64);
         let durations = recorder.values();
         if durations.len() != symbols.len() {
             return Err(ChannelError::ReceiverMissedTransactions {
@@ -319,18 +315,36 @@ impl SymbolRun {
     }
 }
 
+/// Runs one re-armed SoC until idle or `deadline`, recording the
+/// stepping time and the `slots` it simulated. The Instant is taken
+/// only while telemetry is on; timing lives strictly out-of-band and
+/// never feeds back into the simulation.
+pub(crate) fn run_until_idle_timed(soc: &mut Soc, deadline: SimTime, slots: u64) {
+    // lint:allow(D002): telemetry-gated span timing; off by default
+    // and never part of campaign bytes.
+    let stepping = ichannels_obs::enabled().then(std::time::Instant::now);
+    soc.run_until_idle(deadline);
+    if let Some(started) = stepping {
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        ichannels_obs::observe("soc.step_ns", ns);
+        ichannels_obs::counter_add("soc.slots_simulated", slots);
+        ichannels_obs::counter_add("soc.rearms", 1);
+    }
+}
+
 /// An IChannels covert channel bound to a configuration.
 ///
 /// # Examples
 ///
 /// ```
-/// use ichannels::channel::{ChannelConfig, ChannelKind, IChannel};
+/// use ichannels::channel::{ChannelConfig, ChannelError, ChannelKind, IChannel};
 /// use ichannels::symbols::Symbol;
 ///
 /// let ch = IChannel::new(ChannelKind::Thread, ChannelConfig::default_cannon_lake());
-/// let cal = ch.calibrate(3);
-/// let tx = ch.transmit_symbols(&[Symbol::new(0), Symbol::new(3)], &cal);
+/// let cal = ch.calibrate(3)?;
+/// let tx = ch.transmit_symbols(&[Symbol::new(0), Symbol::new(3)], &cal)?;
 /// assert_eq!(tx.sent.len(), 2);
+/// # Ok::<(), ChannelError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct IChannel {
@@ -412,25 +426,7 @@ impl IChannel {
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
     /// schedule broke down before the run deadline.
     pub fn run_symbols(&self, symbols: &[Symbol]) -> Result<Vec<u64>, ChannelError> {
-        self.run_symbols_with(symbols, |_| {})
-    }
-
-    /// Like [`IChannel::run_symbols`], with a hook to add extra programs
-    /// (noise applications) to the SoC before the run.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::ReceiverMissedTransactions`] when the slot
-    /// schedule broke down before the run deadline.
-    pub fn run_symbols_with<F>(
-        &self,
-        symbols: &[Symbol],
-        setup: F,
-    ) -> Result<Vec<u64>, ChannelError>
-    where
-        F: FnOnce(&mut Soc),
-    {
-        SymbolRun::new(self).run(symbols, setup)
+        SymbolRun::new(self).run(symbols, |_| {})
     }
 
     /// Calibrates the channel: transmits each of the four levels
@@ -438,77 +434,33 @@ impl IChannel {
     /// level. Served by the process-wide memo for repeated identical
     /// configurations (see [`Calibration::for_config`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is zero or a training run fails; use
-    /// [`IChannel::try_calibrate`] to handle a broken configuration.
-    pub fn calibrate(&self, reps: usize) -> Calibration {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_calibrate for harness/figure code.
-        self.try_calibrate(reps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::calibrate`].
-    ///
     /// # Errors
     ///
-    /// Propagates the [`ChannelError`] of the first failing training
-    /// run.
-    pub fn try_calibrate(&self, reps: usize) -> Result<Calibration, ChannelError> {
-        Calibration::try_for_config(self.kind, &self.cfg, reps)
+    /// Propagates the [`ChannelError`] of a failing training run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reps` is zero.
+    pub fn calibrate(&self, reps: usize) -> Result<Calibration, ChannelError> {
+        Calibration::for_config(self.kind, &self.cfg, reps)
     }
 
     /// Transmits symbols and decodes them with the calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run fails; use [`IChannel::try_transmit_symbols`]
-    /// to handle a broken configuration.
-    pub fn transmit_symbols(&self, symbols: &[Symbol], cal: &Calibration) -> Transmission {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_transmit_symbols for harness/figure code.
-        self.try_transmit_symbols(symbols, cal)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::transmit_symbols`].
     ///
     /// # Errors
     ///
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
     /// schedule broke down before the run deadline.
-    pub fn try_transmit_symbols(
+    pub fn transmit_symbols(
         &self,
         symbols: &[Symbol],
         cal: &Calibration,
     ) -> Result<Transmission, ChannelError> {
-        self.try_transmit_symbols_with(symbols, cal, |_| {})
+        self.transmit_symbols_with(symbols, cal, |_| {})
     }
 
     /// Like [`IChannel::transmit_symbols`], with a SoC setup hook for
     /// concurrent noise applications (§6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run fails; use
-    /// [`IChannel::try_transmit_symbols_with`] to handle a broken
-    /// configuration.
-    pub fn transmit_symbols_with<F>(
-        &self,
-        symbols: &[Symbol],
-        cal: &Calibration,
-        setup: F,
-    ) -> Transmission
-    where
-        F: FnOnce(&mut Soc),
-    {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_transmit_symbols_with for harness/figure code.
-        self.try_transmit_symbols_with(symbols, cal, setup)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::transmit_symbols_with`].
     ///
     /// With a repeat-and-vote tuning (`votes > 1`) every payload symbol
     /// is transmitted over that many consecutive transaction slots and
@@ -520,7 +472,7 @@ impl IChannel {
     ///
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
     /// schedule broke down before the run deadline.
-    pub fn try_transmit_symbols_with<F>(
+    pub fn transmit_symbols_with<F>(
         &self,
         symbols: &[Symbol],
         cal: &Calibration,
@@ -559,10 +511,19 @@ impl IChannel {
 
     /// Transmits raw bits (even count) — the end-to-end covert channel.
     ///
+    /// # Errors
+    ///
+    /// [`ChannelError::ReceiverMissedTransactions`] when the slot
+    /// schedule broke down before the run deadline.
+    ///
     /// # Panics
     ///
-    /// Panics if the bit count is odd or the run fails.
-    pub fn transmit_bits(&self, bits: &[bool], cal: &Calibration) -> Transmission {
+    /// Panics if the bit count is odd.
+    pub fn transmit_bits(
+        &self,
+        bits: &[bool],
+        cal: &Calibration,
+    ) -> Result<Transmission, ChannelError> {
         let symbols = crate::symbols::bits_to_symbols(bits);
         self.transmit_symbols(&symbols, cal)
     }

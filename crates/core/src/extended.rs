@@ -13,7 +13,8 @@ use ichannels_uarch::isa::InstClass;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::channel::{ChannelConfig, ChannelKind};
+use crate::channel::run::run_until_idle_timed;
+use crate::channel::{ChannelConfig, ChannelError, ChannelKind};
 
 /// A level alphabet: the ordered set of sender classes used as symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,10 +132,15 @@ impl MultiLevelChannel {
     /// Runs `digits` (alphabet indices) through the channel and returns
     /// the raw receiver durations.
     ///
+    /// # Errors
+    ///
+    /// [`ChannelError::ReceiverMissedTransactions`] when the receiver
+    /// recorded nothing within a transaction's run deadline.
+    ///
     /// # Panics
     ///
     /// Panics if a digit is out of range for the alphabet.
-    pub fn run_digits(&self, digits: &[usize]) -> Vec<u64> {
+    pub fn run_digits(&self, digits: &[usize]) -> Result<Vec<u64>, ChannelError> {
         self.run_classes(
             &digits
                 .iter()
@@ -154,8 +160,8 @@ impl MultiLevelChannel {
     /// Low-level driver: one transaction per class in `classes`. The
     /// fixed 4-symbol table of [`crate::channel::IChannel`] cannot carry
     /// arbitrary classes, so each transaction drives the SoC directly.
-    fn run_classes(&self, classes: &[InstClass]) -> Vec<u64> {
-        use ichannels_soc::program::Script;
+    fn run_classes(&self, classes: &[InstClass]) -> Result<Vec<u64>, ChannelError> {
+        use ichannels_soc::program::{Action, FnProgram, ProgCtx, Script};
         use ichannels_soc::sim::Soc;
         use ichannels_uarch::time::SimTime;
         use ichannels_workload::loops::{instructions_for_duration, MeasuredLoop, Recorder};
@@ -187,41 +193,26 @@ impl MultiLevelChannel {
                     let rec2 = rec.clone();
                     let mut stage = 0u8;
                     let mut t0 = 0u64;
-                    let prog = ichannels_soc::program::FnProgram::new(
-                        "multilevel thread",
-                        move |ctx: &ichannels_soc::program::ProgCtx| {
-                            match stage {
-                                0 => {
-                                    stage = 1;
-                                    if class == InstClass::Scalar64 {
-                                        // "Send nothing" level: skip the PHI.
-                                        stage = 2;
-                                        t0 = ctx.tsc;
-                                        return ichannels_soc::program::Action::Run {
-                                            class: recv_class,
-                                            instructions: recv_insts,
-                                        };
-                                    }
-                                    ichannels_soc::program::Action::Run {
-                                        class,
-                                        instructions: sender_insts,
-                                    }
-                                }
-                                1 => {
-                                    stage = 2;
-                                    t0 = ctx.tsc;
-                                    ichannels_soc::program::Action::Run {
-                                        class: recv_class,
-                                        instructions: recv_insts,
-                                    }
-                                }
-                                _ => {
-                                    rec2.push(ctx.tsc.saturating_sub(t0));
-                                    ichannels_soc::program::Action::Halt
-                                }
-                            }
-                        },
-                    );
+                    let prog = FnProgram::new("multilevel thread", move |ctx: &ProgCtx| {
+                        // The "send nothing" level skips the PHI phase.
+                        if stage == 0 && class != InstClass::Scalar64 {
+                            stage = 1;
+                            return Action::Run {
+                                class,
+                                instructions: sender_insts,
+                            };
+                        }
+                        if stage < 2 {
+                            stage = 2;
+                            t0 = ctx.tsc;
+                            return Action::Run {
+                                class: recv_class,
+                                instructions: recv_insts,
+                            };
+                        }
+                        rec2.push(ctx.tsc.saturating_sub(t0));
+                        Action::Halt
+                    });
                     soc.spawn(0, 0, Box::new(prog));
                 }
                 ChannelKind::Smt | ChannelKind::Cores => {
@@ -240,22 +231,18 @@ impl MultiLevelChannel {
                     );
                 }
             }
-            // Per-transaction SoC stepping time (out-of-band, like
-            // `SymbolRun::run`): each independent run is one rearm
-            // simulating a single slot.
-            // lint:allow(D002): telemetry-gated span timing; off by
-            // default and never part of campaign bytes.
-            let stepping = ichannels_obs::enabled().then(std::time::Instant::now);
-            soc.run_until_idle(SimTime::from_ms(5.0));
-            if let Some(started) = stepping {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                ichannels_obs::observe("soc.step_ns", ns);
-                ichannels_obs::counter_add("soc.slots_simulated", 1);
-                ichannels_obs::counter_add("soc.rearms", 1);
-            }
-            out.push(rec.values()[0]);
+            // Each independent run is one rearm simulating a single slot.
+            run_until_idle_timed(soc, SimTime::from_ms(5.0), 1);
+            let Some(&duration) = rec.values().first() else {
+                return Err(ChannelError::ReceiverMissedTransactions {
+                    channel: self.kind,
+                    expected: classes.len(),
+                    got: out.len(),
+                });
+            };
+            out.push(duration);
         }
-        out
+        Ok(out)
     }
 
     /// Calibrates per-level mean durations.
@@ -266,12 +253,16 @@ impl MultiLevelChannel {
     /// multi-level configurations train once per process and a memo hit
     /// returns byte-identical means to a fresh training.
     ///
+    /// # Errors
+    ///
+    /// Propagates the [`ChannelError`] of a failing training run.
+    ///
     /// # Panics
     ///
     /// Panics if `reps` is zero.
-    pub fn calibrate(&self, reps: usize) -> Vec<f64> {
+    pub fn calibrate(&self, reps: usize) -> Result<Vec<f64>, ChannelError> {
         assert!(reps > 0, "calibration needs at least one repetition");
-        let result = crate::channel::calibration::memoized_means(
+        crate::channel::calibration::memoized_means(
             || {
                 // lint:allow(D004): audited — like the base fingerprint,
                 // the alphabet suffix is a process-local memo key
@@ -283,23 +274,14 @@ impl MultiLevelChannel {
                 )
             },
             || {
-                Ok((0..self.alphabet.len())
+                (0..self.alphabet.len())
                     .map(|d| {
-                        let durations = self.run_digits(&vec![d; reps]);
-                        durations.iter().map(|&x| x as f64).sum::<f64>() / reps as f64
+                        let durations = self.run_digits(&vec![d; reps])?;
+                        Ok(durations.iter().map(|&x| x as f64).sum::<f64>() / reps as f64)
                     })
-                    .collect())
+                    .collect()
             },
-        );
-        match result {
-            Ok(means) => means,
-            // The training closure above is infallible (always `Ok`), so
-            // this arm is unreachable; `memoized_means` never fabricates
-            // errors of its own.
-            // lint:allow(R001): unreachable error arm of an infallible
-            // training closure.
-            Err(e) => panic!("{e}"),
-        }
+        )
     }
 
     /// Nearest-mean decoding.
@@ -316,35 +298,53 @@ impl MultiLevelChannel {
     }
 
     /// Evaluates the modulation over `n` random digits.
-    pub fn evaluate(&self, means: &[f64], n: usize, seed: u64) -> ExtendedEval {
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::ReceiverMissedTransactions`] when a transaction's
+    /// receiver recorded nothing.
+    pub fn evaluate(
+        &self,
+        means: &[f64],
+        n: usize,
+        seed: u64,
+    ) -> Result<ExtendedEval, ChannelError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let digits: Vec<usize> = (0..n)
             .map(|_| rng.gen_range(0..self.alphabet.len()))
             .collect();
-        let durations = self.run_digits(&digits);
+        let durations = self.run_digits(&digits)?;
         let mut m = ConfusionMatrix::new(self.alphabet.len());
         for (d, dur) in digits.iter().zip(&durations) {
             m.record(*d, self.decode(*dur, means));
         }
         let symbol_rate = 1.0 / self.cfg.slot_period.as_secs();
-        ExtendedEval {
+        Ok(ExtendedEval {
             levels: self.alphabet.len(),
             raw_bits_per_symbol: self.alphabet.bits_per_symbol(),
             mi_bits_per_symbol: m.mutual_information_bits_corrected(),
             capacity_bps: m.mutual_information_bits_corrected() * symbol_rate,
             ser: m.symbol_error_rate(),
-        }
+        })
     }
 }
 
 /// Convenience: evaluate an alphabet on the same-thread channel.
-pub fn evaluate_alphabet(alphabet: LevelAlphabet, n: usize, seed: u64) -> ExtendedEval {
+///
+/// # Errors
+///
+/// Propagates the [`ChannelError`] of a failing training or payload run.
+pub fn evaluate_alphabet(
+    alphabet: LevelAlphabet,
+    n: usize,
+    seed: u64,
+) -> Result<ExtendedEval, ChannelError> {
     let ch = MultiLevelChannel::new(
         ChannelKind::Thread,
         ChannelConfig::default_cannon_lake(),
         alphabet,
     );
-    let means = ch.calibrate(3);
+    let means = ch.calibrate(3)?;
     ch.evaluate(&means, n, seed)
 }
 
@@ -368,8 +368,8 @@ mod tests {
 
     #[test]
     fn six_levels_beat_four_in_raw_capacity() {
-        let four = evaluate_alphabet(LevelAlphabet::paper4(), 40, 21);
-        let six = evaluate_alphabet(LevelAlphabet::phi6(), 40, 21);
+        let four = evaluate_alphabet(LevelAlphabet::paper4(), 40, 21).expect("clean schedule");
+        let six = evaluate_alphabet(LevelAlphabet::phi6(), 40, 21).expect("clean schedule");
         assert!(
             four.mi_bits_per_symbol > 1.8,
             "4-level MI = {}",
@@ -384,8 +384,28 @@ mod tests {
     }
 
     #[test]
+    fn receiver_overrunning_the_deadline_is_a_typed_error() {
+        // A 6 ms receiver loop cannot finish inside a transaction's 5 ms
+        // run deadline, so it records nothing: that must be a
+        // ChannelError, not an out-of-bounds panic.
+        let mut cfg = ChannelConfig::default_cannon_lake();
+        cfg.receiver_loop = ichannels_uarch::time::SimTime::from_ms(6.0);
+        let ch = MultiLevelChannel::new(ChannelKind::Thread, cfg, LevelAlphabet::paper4());
+        let err = ch.calibrate(1).expect_err("the receiver never finishes");
+        assert_eq!(
+            err,
+            ChannelError::ReceiverMissedTransactions {
+                channel: ChannelKind::Thread,
+                expected: 1,
+                got: 0,
+            }
+        );
+        assert!(ch.evaluate(&[0.0; 4], 4, 1).is_err());
+    }
+
+    #[test]
     fn seven_levels_resolvable_on_quiet_system() {
-        let seven = evaluate_alphabet(LevelAlphabet::full7(), 35, 22);
+        let seven = evaluate_alphabet(LevelAlphabet::full7(), 35, 22).expect("clean schedule");
         // Some adjacent-level confusion is acceptable; the channel must
         // still clearly beat 2 bits/transaction.
         assert!(

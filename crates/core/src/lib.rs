@@ -35,17 +35,18 @@
 //! # Quickstart
 //!
 //! ```
-//! use ichannels::channel::IChannel;
+//! use ichannels::channel::{ChannelError, IChannel};
 //! use ichannels::symbols::{bits_to_symbols, symbols_to_bits};
 //!
 //! // Exfiltrate one secret byte across SMT threads.
 //! let channel = IChannel::icc_smt_covert();
-//! let cal = channel.calibrate(3);
+//! let cal = channel.calibrate(3)?;
 //! let secret = [true, false, true, true, false, false, true, false];
-//! let tx = channel.transmit_bits(&secret, &cal);
+//! let tx = channel.transmit_bits(&secret, &cal)?;
 //! assert_eq!(symbols_to_bits(&tx.received), secret);
 //! assert!(tx.throughput_bps() > 2_500.0); // ~2.9 kb/s
 //! # let _ = bits_to_symbols(&secret);
+//! # Ok::<(), ChannelError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@ use ichannels_soc::config::PlatformSpec;
 use ichannels_uarch::isa::InstClass;
 
 use crate::ber::{evaluate, ChannelEval};
-use crate::channel::{ChannelConfig, ChannelKind, IChannel};
+use crate::channel::{ChannelConfig, ChannelError, ChannelKind, IChannel};
 
 /// One of the three proposed mitigations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,6 +131,10 @@ pub struct MitigationOutcome {
 
 /// Evaluates one Table 1 cell with `n_symbols` random symbols.
 /// The mitigated channel is *recalibrated* first — the attacker adapts.
+///
+/// # Errors
+///
+/// Propagates the [`ChannelError`] of a failing training or payload run.
 pub fn evaluate_mitigation(
     mitigation: Mitigation,
     kind: ChannelKind,
@@ -138,24 +142,24 @@ pub fn evaluate_mitigation(
     n_symbols: usize,
     calib_reps: usize,
     seed: u64,
-) -> MitigationOutcome {
+) -> Result<MitigationOutcome, ChannelError> {
     let base_channel = IChannel::new(kind, base_cfg.clone());
-    let base_cal = base_channel.calibrate(calib_reps);
-    let baseline = evaluate(&base_channel, &base_cal, n_symbols, seed);
+    let base_cal = base_channel.calibrate(calib_reps)?;
+    let baseline = evaluate(&base_channel, &base_cal, n_symbols, seed)?;
 
     let mit_cfg = mitigation.apply(base_cfg.clone());
     let mit_channel = IChannel::new(kind, mit_cfg);
-    let mit_cal = mit_channel.calibrate(calib_reps);
-    let mitigated = evaluate(&mit_channel, &mit_cal, n_symbols, seed);
+    let mit_cal = mit_channel.calibrate(calib_reps)?;
+    let mitigated = evaluate(&mit_channel, &mit_cal, n_symbols, seed)?;
 
     let effectiveness = classify(&mitigated, &baseline);
-    MitigationOutcome {
+    Ok(MitigationOutcome {
         mitigation,
         channel: kind,
         baseline,
         mitigated,
         effectiveness,
-    }
+    })
 }
 
 /// Secure-mode power overhead for a system whose widest PHI class is
@@ -185,7 +189,8 @@ mod tests {
     #[test]
     fn secure_mode_kills_every_channel() {
         for kind in [ChannelKind::Thread, ChannelKind::Smt, ChannelKind::Cores] {
-            let o = evaluate_mitigation(Mitigation::SecureMode, kind, &cfg(), 60, 2, 5);
+            let o = evaluate_mitigation(Mitigation::SecureMode, kind, &cfg(), 60, 2, 5)
+                .expect("clean schedule");
             assert_eq!(
                 o.effectiveness,
                 Effectiveness::Full,
@@ -196,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn improved_throttling_kills_smt_channel_only() {
+    fn improved_throttling_kills_smt_channel_only() -> Result<(), ChannelError> {
         let smt = evaluate_mitigation(
             Mitigation::ImprovedThrottling,
             ChannelKind::Smt,
@@ -204,7 +209,7 @@ mod tests {
             60,
             2,
             6,
-        );
+        )?;
         assert_eq!(smt.effectiveness, Effectiveness::Full, "SMT should die");
         let thread = evaluate_mitigation(
             Mitigation::ImprovedThrottling,
@@ -213,25 +218,28 @@ mod tests {
             60,
             2,
             6,
-        );
+        )?;
         assert_eq!(
             thread.effectiveness,
             Effectiveness::None,
             "same-thread channel throttles itself and survives"
         );
+        Ok(())
     }
 
     #[test]
     fn per_core_vr_kills_cross_core_channel() {
         let cores =
-            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Cores, &cfg(), 60, 2, 7);
+            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Cores, &cfg(), 60, 2, 7)
+                .expect("clean schedule");
         assert_eq!(cores.effectiveness, Effectiveness::Full);
     }
 
     #[test]
     fn per_core_vr_weakens_thread_channel() {
         let thread =
-            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Thread, &cfg(), 60, 3, 8);
+            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Thread, &cfg(), 60, 3, 8)
+                .expect("clean schedule");
         assert_ne!(
             thread.effectiveness,
             Effectiveness::None,

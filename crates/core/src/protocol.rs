@@ -9,7 +9,7 @@
 //! the receiver keeps, per sequence number, the first copy whose CRC
 //! checks out.
 
-use crate::channel::{Calibration, IChannel};
+use crate::channel::{Calibration, ChannelError, IChannel};
 use crate::ecc::{check_frame, frame_with_crc, Hamming74};
 use crate::symbols::{bits_to_bytes, bits_to_symbols, bytes_to_bits, symbols_to_bits, Symbol};
 
@@ -96,10 +96,15 @@ impl<'a> FramedLink<'a> {
     /// link statistics. `None` payload bytes indicate unrecoverable
     /// frames (all copies corrupt).
     ///
+    /// # Errors
+    ///
+    /// [`ChannelError::ReceiverMissedTransactions`] when a frame's slot
+    /// schedule broke down before the run deadline.
+    ///
     /// # Panics
     ///
     /// Panics if the payload needs more than 256 frames.
-    pub fn transfer(&self, payload: &[u8]) -> (Option<Vec<u8>>, LinkStats) {
+    pub fn transfer(&self, payload: &[u8]) -> Result<(Option<Vec<u8>>, LinkStats), ChannelError> {
         let chunks: Vec<&[u8]> = payload.chunks(FRAME_PAYLOAD).collect();
         assert!(chunks.len() <= 256, "payload too large for u8 sequence");
         let mut stats = LinkStats {
@@ -121,7 +126,7 @@ impl<'a> FramedLink<'a> {
                 channel.config_mut().soc.seed =
                     self.channel.config().soc.seed.wrapping_add(round as u64);
                 let symbols = encode_frame(seq as u8, chunk);
-                let tx = channel.transmit_symbols(&symbols, self.cal);
+                let tx = channel.transmit_symbols(&symbols, self.cal)?;
                 stats.frames_sent += 1;
                 match decode_frame(&tx.received) {
                     Some((rx_seq, data)) if rx_seq as usize == seq => {
@@ -132,15 +137,11 @@ impl<'a> FramedLink<'a> {
                 }
             }
         }
-        if recovered.iter().all(Option::is_some) {
-            let mut out = Vec::with_capacity(payload.len());
-            for r in recovered.into_iter().flatten() {
-                out.extend(r);
-            }
-            (Some(out), stats)
-        } else {
-            (None, stats)
-        }
+        let message = recovered
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .map(|frames| frames.concat());
+        Ok((message, stats))
     }
 }
 
@@ -171,10 +172,10 @@ mod tests {
     #[test]
     fn clean_link_transfers_in_one_round() {
         let ch = IChannel::icc_smt_covert();
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let link = FramedLink::new(&ch, &cal, 2);
         let payload = b"attack at dawn";
-        let (rx, stats) = link.transfer(payload);
+        let (rx, stats) = link.transfer(payload).expect("clean schedule");
         assert_eq!(rx.as_deref(), Some(&payload[..]));
         assert_eq!(stats.frames_corrupt, 0);
         assert_eq!(stats.frames_recovered, 2); // 14 bytes = 2 frames
@@ -189,14 +190,14 @@ mod tests {
             .soc
             .clone()
             .with_noise(NoiseConfig::ctx_switches_only(2_000.0));
-        let cal = ch.calibrate(3);
+        let cal = ch.calibrate(3).expect("clean schedule");
         // At 2000 ctx-switches/s roughly every other frame takes an
         // uncorrectable hit; a deep redundancy budget is what makes the
         // one-way link reliable (§6.3: "send the secret value many
         // times").
         let link = FramedLink::new(&ch, &cal, 12);
         let payload = b"0123456789abcdef";
-        let (rx, stats) = link.transfer(payload);
+        let (rx, stats) = link.transfer(payload).expect("clean schedule");
         assert_eq!(rx.as_deref(), Some(&payload[..]), "stats = {stats:?}");
         assert!(
             stats.frames_corrupt > 0,

@@ -14,7 +14,7 @@
 
 use ichannels_uarch::time::SimTime;
 
-use crate::channel::{Calibration, ChannelConfig, ChannelKind, IChannel};
+use crate::channel::{Calibration, ChannelConfig, ChannelError, ChannelKind, IChannel};
 use crate::symbols::Symbol;
 
 /// The default preamble: a level sweep repeated twice. Maximally
@@ -54,28 +54,37 @@ pub fn with_receiver_offset(mut cfg: ChannelConfig, offset: SimTime) -> ChannelC
 
 /// Scores one candidate offset: transmit the preamble with the receiver
 /// shifted by `offset` and count correct decodes.
+///
+/// # Errors
+///
+/// [`ChannelError::ReceiverMissedTransactions`] when the slot schedule
+/// broke down before the run deadline.
 pub fn score_offset(
     kind: ChannelKind,
     base_cfg: &ChannelConfig,
     cal: &Calibration,
     preamble: &[Symbol],
     offset: SimTime,
-) -> f64 {
+) -> Result<f64, ChannelError> {
     let cfg = with_receiver_offset(base_cfg.clone(), offset);
     let ch = IChannel::new(kind, cfg);
-    let tx = ch.transmit_symbols(preamble, cal);
+    let tx = ch.transmit_symbols(preamble, cal)?;
     let correct = tx
         .sent
         .iter()
         .zip(&tx.received)
         .filter(|(a, b)| a == b)
         .count();
-    correct as f64 / preamble.len() as f64
+    Ok(correct as f64 / preamble.len() as f64)
 }
 
 /// Sweeps candidate offsets in `[0, range)` at the given step and
 /// returns the best-scoring one. Models a receiver that does not know
 /// the true slot phase and recovers it from the preamble.
+///
+/// # Errors
+///
+/// Propagates the [`ChannelError`] of a failing preamble run.
 ///
 /// # Panics
 ///
@@ -87,7 +96,7 @@ pub fn recover_offset(
     preamble: &[Symbol],
     range: SimTime,
     step: SimTime,
-) -> SyncResult {
+) -> Result<SyncResult, ChannelError> {
     assert!(!step.is_zero(), "sweep step must be non-zero");
     assert!(range >= step, "sweep range must cover at least one step");
     let mut scores = Vec::new();
@@ -95,7 +104,7 @@ pub fn recover_offset(
     let mut best_score = -1.0;
     let mut offset = SimTime::ZERO;
     while offset < range {
-        let score = score_offset(kind, base_cfg, cal, preamble, offset);
+        let score = score_offset(kind, base_cfg, cal, preamble, offset)?;
         scores.push((offset, score));
         if score > best_score {
             best_score = score;
@@ -103,11 +112,11 @@ pub fn recover_offset(
         }
         offset += step;
     }
-    SyncResult {
+    Ok(SyncResult {
         best_offset,
         best_score,
         scores,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -117,12 +126,12 @@ mod tests {
     /// The cross-core channel tolerates small receiver skew but breaks
     /// when the receiver starts after the sender's transition completed.
     #[test]
-    fn large_skew_breaks_decoding() {
+    fn large_skew_breaks_decoding() -> Result<(), ChannelError> {
         let base = ChannelConfig::default_cannon_lake();
         let ch = IChannel::new(ChannelKind::Cores, base.clone());
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2)?;
         let preamble = default_preamble();
-        let aligned = score_offset(ChannelKind::Cores, &base, &cal, &preamble, SimTime::ZERO);
+        let aligned = score_offset(ChannelKind::Cores, &base, &cal, &preamble, SimTime::ZERO)?;
         assert_eq!(aligned, 1.0);
         // Start the receiver ~25 µs late: past the sender's transition,
         // so the queueing signal is gone.
@@ -132,8 +141,9 @@ mod tests {
             &cal,
             &preamble,
             SimTime::from_us(25.0),
-        );
+        )?;
         assert!(skewed < 0.8, "skewed score = {skewed}");
+        Ok(())
     }
 
     /// The preamble sweep finds a working offset again.
@@ -141,7 +151,7 @@ mod tests {
     fn preamble_sweep_recovers_alignment() {
         let base = ChannelConfig::default_cannon_lake();
         let ch = IChannel::new(ChannelKind::Cores, base.clone());
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let preamble = default_preamble();
         let result = recover_offset(
             ChannelKind::Cores,
@@ -150,13 +160,14 @@ mod tests {
             &preamble,
             SimTime::from_us(20.0),
             SimTime::from_us(4.0),
-        );
+        )
+        .expect("clean schedule");
         assert_eq!(result.best_score, 1.0, "scores = {:?}", result.scores);
         // With the recovered offset, payload transfer works.
         let cfg = with_receiver_offset(base, result.best_offset);
         let ch = IChannel::new(ChannelKind::Cores, cfg);
         let msg = [Symbol::new(2), Symbol::new(0), Symbol::new(3)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.transmit_symbols(&msg, &cal).expect("clean schedule");
         assert_eq!(tx.received, msg);
     }
 }

@@ -6,7 +6,7 @@
 //! `run_probe` each re-derived the channel configuration and training
 //! calibration from scratch; the context resolves the configuration
 //! once and obtains calibrations through the process-wide memo
-//! ([`Calibration::try_for_config`]). Per-trial seeds keep every
+//! ([`Calibration::for_config`]). Per-trial seeds keep every
 //! fresh campaign cell's fingerprint distinct (bytes cannot change),
 //! so the memo pays off when identical configurations *recur* in one
 //! process: catalog re-runs, A/B twins resolving to the same tuning,
@@ -63,7 +63,7 @@ impl<'a> TrialContext<'a> {
     ///
     /// Propagates the [`ChannelError`] of a failing training run.
     pub fn calibration(&self, kind: ChannelKind) -> Result<Calibration, ChannelError> {
-        Calibration::try_for_config(kind, &self.cfg, self.scenario.calib_reps)
+        Calibration::for_config(kind, &self.cfg, self.scenario.calib_reps)
     }
 
     /// Runs the trial and returns its metrics.
@@ -134,7 +134,7 @@ impl<'a> TrialContext<'a> {
             channel.config().start_offset + channel.config().slot_period.scale((slots + 2) as f64);
         let app_seed = mix(self.scenario.seed, 4);
         let transmit_span = ichannels_obs::span("trial.transmit");
-        let tx = channel.try_transmit_symbols_with(&symbols, &cal, |soc: &mut Soc| {
+        let tx = channel.transmit_symbols_with(&symbols, &cal, |soc: &mut Soc| {
             if let (Some(app), Some((core, smt))) = (app, placement) {
                 let program: Box<dyn ichannels_soc::program::Program> = match app.kind {
                     AppKind::RandomLevels => Box::new(RandomPhiApp::sender_levels(
@@ -158,9 +158,7 @@ impl<'a> TrialContext<'a> {
         drop(transmit_span);
         let _metrics_span = ichannels_obs::span("trial.metrics");
         let mut confusion = ConfusionMatrix::new(4);
-        for (s, r) in tx.sent.iter().zip(&tx.received) {
-            confusion.record(s.value() as usize, r.value() as usize);
-        }
+        tx.record_into(&mut confusion);
         let symbol_rate = ichannels::ber::symbol_rate(&channel);
         let mi = confusion.mutual_information_bits_corrected();
         Ok(TrialMetrics {
@@ -185,11 +183,11 @@ impl<'a> TrialContext<'a> {
         let channel = MultiLevelChannel::new(kind, self.cfg.clone(), alpha.alphabet());
         let means = {
             let _span = ichannels_obs::span("trial.calibration");
-            channel.calibrate(s.calib_reps)
+            channel.calibrate(s.calib_reps)?
         };
         let eval = {
             let _span = ichannels_obs::span("trial.transmit");
-            channel.evaluate(&means, s.payload_symbols, mix(s.seed, 3))
+            channel.evaluate(&means, s.payload_symbols, mix(s.seed, 3))?
         };
         let _metrics_span = ichannels_obs::span("trial.metrics");
         let mut sorted = means.clone();

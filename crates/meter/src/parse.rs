@@ -150,8 +150,9 @@ impl Cursor<'_> {
             Some('"') => Ok(JsonValue::Str(self.string()?)),
             Some('t') | Some('f') | Some('n') => {
                 let mut word = String::new();
-                while matches!(self.chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(self.chars.next().expect("peeked"));
+                while let Some(&c) = self.chars.peek().filter(|c| c.is_ascii_alphabetic()) {
+                    word.push(c);
+                    self.chars.next();
                 }
                 match word.as_str() {
                     "true" => Ok(JsonValue::Bool(true)),
@@ -162,12 +163,11 @@ impl Cursor<'_> {
             }
             Some(c) if *c == '-' || c.is_ascii_digit() => {
                 let mut lit = String::new();
-                while matches!(
-                    self.chars.peek(),
-                    Some(c) if c.is_ascii_digit()
-                        || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                ) {
-                    lit.push(self.chars.next().expect("peeked"));
+                let numeric =
+                    |c: &&char| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E');
+                while let Some(&c) = self.chars.peek().filter(numeric) {
+                    lit.push(c);
+                    self.chars.next();
                 }
                 let plain_int = !lit.is_empty() && lit.bytes().all(|b| b.is_ascii_digit());
                 if plain_int {

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 
@@ -135,8 +135,15 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// Locks one registry map, recovering from poisoning: every mutation
+/// under the lock is a single insert or clear, so a panic in another
+/// thread cannot leave a torn entry behind.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn cell(map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>, name: &str) -> Arc<AtomicU64> {
-    let mut map = map.lock().expect("metrics registry lock");
+    let mut map = locked(map);
     if let Some(existing) = map.get(name) {
         return Arc::clone(existing);
     }
@@ -164,7 +171,7 @@ impl MetricsRegistry {
 
     /// The named histogram, created empty on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("metrics registry lock");
+        let mut map = locked(&self.histograms);
         if let Some(existing) = map.get(name) {
             return Arc::clone(existing);
         }
@@ -190,27 +197,20 @@ impl MetricsRegistry {
 
     /// Drops every metric.
     pub fn clear(&self) {
-        self.counters.lock().expect("metrics registry lock").clear();
-        self.gauges.lock().expect("metrics registry lock").clear();
-        self.histograms
-            .lock()
-            .expect("metrics registry lock")
-            .clear();
+        locked(&self.counters).clear();
+        locked(&self.gauges).clear();
+        locked(&self.histograms).clear();
     }
 
     /// Exports the current state of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>| {
-            map.lock()
-                .expect("metrics registry lock")
+            locked(map)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect::<BTreeMap<String, u64>>()
         };
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("metrics registry lock")
+        let histograms = locked(&self.histograms)
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();

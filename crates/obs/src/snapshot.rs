@@ -275,15 +275,14 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(&b) => {
+                Some(_) => {
                     // Multi-byte UTF-8 sequences pass through intact:
                     // copy the raw bytes of one scalar value.
                     let text =
                         std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = text.chars().next().expect("non-empty");
+                    let c = text.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
-                    let _ = b;
                 }
             }
         }
@@ -299,7 +298,7 @@ impl<'a> Parser<'a> {
             return Err(format!("expected an unsigned integer at byte {start}"));
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are UTF-8")
+            .map_err(|e| e.to_string())?
             .parse()
             .map_err(|e| format!("integer at byte {start}: {e}"))
     }

@@ -9,9 +9,9 @@ use ichannels::baselines::netspectre::NetSpectreChannel;
 use ichannels::baselines::powert::PowerTChannel;
 use ichannels::baselines::turbocc::TurboCcChannel;
 use ichannels::ber::evaluate;
-use ichannels::channel::IChannel;
+use ichannels::channel::{ChannelError, IChannel};
 
-fn main() {
+fn main() -> Result<(), ChannelError> {
     println!(
         "{:<18} {:>10} {:>8} {:>10}   mechanism",
         "channel", "bits/s", "BER", "vs best"
@@ -35,8 +35,8 @@ fn main() {
             "serialized VR transitions across cores",
         ),
     ] {
-        let cal = ch.calibrate(3);
-        let ev = evaluate(&ch, &cal, 30, 1);
+        let cal = ch.calibrate(3)?;
+        let ev = evaluate(&ch, &cal, 30, 1)?;
         results.push((name.to_string(), ev.throughput_bps, ev.ber, mech));
     }
 
@@ -99,4 +99,5 @@ fn main() {
     println!("the current-management channels sit three orders of magnitude");
     println!("above the governor/thermal-era channels — because voltage ramps");
     println!("settle in microseconds, not milliseconds (paper §6.2)");
+    Ok(())
 }

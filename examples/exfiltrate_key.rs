@@ -10,12 +10,12 @@
 //!
 //! Run with: `cargo run --release --example exfiltrate_key`
 
-use ichannels::channel::IChannel;
+use ichannels::channel::{ChannelError, IChannel};
 use ichannels::ecc::{check_frame, frame_with_crc, Hamming74};
 use ichannels::symbols::{bits_to_bytes, bytes_to_bits, symbols_to_bits};
 use ichannels_soc::noise::NoiseConfig;
 
-fn main() {
+fn main() -> Result<(), ChannelError> {
     let key: [u8; 16] = [
         0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
         0x3c,
@@ -25,7 +25,7 @@ fn main() {
     // Cross-core channel on a system with realistic OS noise.
     let mut channel = IChannel::icc_cores_covert();
     channel.config_mut().soc = channel.config().soc.clone().with_noise(NoiseConfig::low());
-    let cal = channel.calibrate(3);
+    let cal = channel.calibrate(3)?;
 
     // Frame with CRC-8, then Hamming(7,4)-encode (tolerates one flipped
     // bit per 7-bit block).
@@ -51,7 +51,7 @@ fn main() {
         framed.len() as f64 * 8.0 / channel_bits.len() as f64
     );
 
-    let tx = channel.transmit_bits(&channel_bits, &cal);
+    let tx = channel.transmit_bits(&channel_bits, &cal)?;
     println!(
         "raw channel BER: {:.4} over {} transactions at {:.0} b/s",
         tx.bit_error_rate(),
@@ -75,6 +75,7 @@ fn main() {
             println!("CRC check FAILED — retransmission would be requested");
         }
     }
+    Ok(())
 }
 
 fn hex(bytes: &[u8]) -> String {

@@ -7,12 +7,12 @@
 //!
 //! Run with: `cargo run --release --example mitigation_demo`
 
-use ichannels::channel::{ChannelConfig, ChannelKind};
+use ichannels::channel::{ChannelConfig, ChannelError, ChannelKind};
 use ichannels::mitigations::{evaluate_mitigation, secure_mode_power_overhead, Mitigation};
 use ichannels_soc::config::PlatformSpec;
 use ichannels_uarch::isa::InstClass;
 
-fn main() {
+fn main() -> Result<(), ChannelError> {
     let base = ChannelConfig::default_cannon_lake();
     let kinds = [ChannelKind::Thread, ChannelKind::Smt, ChannelKind::Cores];
 
@@ -22,7 +22,7 @@ fn main() {
     );
     for mitigation in Mitigation::ALL {
         for kind in kinds {
-            let o = evaluate_mitigation(mitigation, kind, &base, 40, 2, 0xD1CE);
+            let o = evaluate_mitigation(mitigation, kind, &base, 40, 2, 0xD1CE)?;
             println!(
                 "{:<22} {:<16} {:>12.0} {:>12.0} {:>8.3}  {}",
                 mitigation.name(),
@@ -44,4 +44,5 @@ fn main() {
         secure_mode_power_overhead(&p, InstClass::Heavy512) * 100.0
     );
     println!("(compare: SGX costs up to 79% performance / 67% energy, §7)");
+    Ok(())
 }

@@ -82,18 +82,18 @@ proptest! {
         let _guard = MemoGuard::acquire();
         calibration::set_memo_enabled(true);
         calibration::reset_memo();
-        let miss = Calibration::for_config(k, &cfg, reps);
-        let hit = Calibration::for_config(k, &cfg, reps);
+        let miss = Calibration::for_config(k, &cfg, reps).expect("clean schedule");
+        let hit = Calibration::for_config(k, &cfg, reps).expect("clean schedule");
         prop_assert_eq!(&miss, &hit);
         let stats = calibration::memo_stats();
         prop_assert_eq!(stats.misses, 1);
         prop_assert_eq!(stats.hits, 1);
 
         calibration::set_memo_enabled(false);
-        let uncached = Calibration::for_config(k, &cfg, reps);
+        let uncached = Calibration::for_config(k, &cfg, reps).expect("clean schedule");
         prop_assert_eq!(&miss, &uncached);
         let channel = IChannel::new(k, cfg.clone());
-        prop_assert_eq!(&channel.calibrate(reps), &miss);
+        prop_assert_eq!(&channel.calibrate(reps).expect("clean schedule"), &miss);
         calibration::set_memo_enabled(true);
 
         // Fingerprints: stable for equal configs, sensitive to seeds.

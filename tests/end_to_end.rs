@@ -18,8 +18,8 @@ fn all_three_channels_transfer_a_byte_error_free() {
         IChannel::icc_smt_covert(),
         IChannel::icc_cores_covert(),
     ] {
-        let cal = ch.calibrate(2);
-        let tx = ch.transmit_bits(&bits, &cal);
+        let cal = ch.calibrate(2).expect("clean schedule");
+        let tx = ch.transmit_bits(&bits, &cal).expect("clean schedule");
         assert_eq!(
             bits_to_bytes(&symbols_to_bits(&tx.received)),
             payload,
@@ -34,8 +34,8 @@ fn all_three_channels_transfer_a_byte_error_free() {
 fn channel_capacity_is_about_24x_powert() {
     // §6.2 headline: ~2.9 kb/s ≈ 24× the 122 b/s of POWERT.
     let ch = IChannel::icc_smt_covert();
-    let cal = ch.calibrate(2);
-    let ev = evaluate(&ch, &cal, 30, 3);
+    let cal = ch.calibrate(2).expect("clean schedule");
+    let ev = evaluate(&ch, &cal, 30, 3).expect("clean schedule");
     let ratio = ev.throughput_bps / 122.0;
     assert!((20.0..28.0).contains(&ratio), "ratio = {ratio}");
 }
@@ -47,9 +47,9 @@ fn cross_core_channel_works_on_all_platforms() {
         let mut cfg = ChannelConfig::default_cannon_lake();
         cfg.soc = SocConfig::pinned(platform.clone(), freq);
         let ch = IChannel::new(ChannelKind::Cores, cfg);
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let symbols = random_symbols(8, 9);
-        let tx = ch.transmit_symbols(&symbols, &cal);
+        let tx = ch.transmit_symbols(&symbols, &cal).expect("clean schedule");
         assert_eq!(
             tx.received, symbols,
             "cross-core channel failed on {}",
@@ -62,8 +62,8 @@ fn cross_core_channel_works_on_all_platforms() {
 fn low_noise_system_has_near_zero_ber() {
     let mut ch = IChannel::icc_thread_covert();
     ch.config_mut().soc = ch.config().soc.clone().with_noise(NoiseConfig::low());
-    let cal = ch.calibrate(3);
-    let ev = evaluate(&ch, &cal, 60, 5);
+    let cal = ch.calibrate(3).expect("clean schedule");
+    let ev = evaluate(&ch, &cal, 60, 5).expect("clean schedule");
     assert!(ev.ber < 0.03, "BER = {}", ev.ber);
 }
 
@@ -75,7 +75,7 @@ fn heavy_noise_degrades_but_repetition_code_recovers() {
         .soc
         .clone()
         .with_noise(NoiseConfig::ctx_switches_only(1_500.0));
-    let cal = ch.calibrate(3);
+    let cal = ch.calibrate(3).expect("clean schedule");
 
     let data = [true, false, true, true, false, false, true, false];
     let coded = Repetition3.encode(&data);
@@ -90,7 +90,7 @@ fn heavy_noise_degrades_but_repetition_code_recovers() {
     let mut raw_bers = Vec::new();
     for attempt in 0..4u64 {
         ch.config_mut().soc.seed = base_seed.wrapping_add(attempt);
-        let tx = ch.transmit_bits(&coded, &cal);
+        let tx = ch.transmit_bits(&coded, &cal).expect("clean schedule");
         raw_bers.push(tx.bit_error_rate());
         let decoded = Repetition3.decode(&symbols_to_bits(&tx.received));
         if decoded == data {
@@ -109,7 +109,7 @@ fn heavy_noise_degrades_but_repetition_code_recovers() {
 fn crc_framed_hamming_transfer_under_noise() {
     let mut ch = IChannel::icc_cores_covert();
     ch.config_mut().soc = ch.config().soc.clone().with_noise(NoiseConfig::low());
-    let cal = ch.calibrate(2);
+    let cal = ch.calibrate(2).expect("clean schedule");
     let payload = b"key=42";
     let framed = frame_with_crc(payload);
     let mut bits = bytes_to_bits(&framed);
@@ -121,7 +121,9 @@ fn crc_framed_hamming_transfer_under_noise() {
     if !channel_bits.len().is_multiple_of(2) {
         channel_bits.push(false);
     }
-    let tx = ch.transmit_bits(&channel_bits, &cal);
+    let tx = ch
+        .transmit_bits(&channel_bits, &cal)
+        .expect("clean schedule");
     let mut rx = symbols_to_bits(&tx.received);
     rx.truncate(coded.len());
     let mut bytes = bits_to_bytes(&Hamming74.decode(&rx));
@@ -133,8 +135,10 @@ fn crc_framed_hamming_transfer_under_noise() {
 fn transmissions_are_deterministic_given_seeds() {
     let run = || {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(2);
-        ch.transmit_symbols(&random_symbols(12, 7), &cal).durations
+        let cal = ch.calibrate(2).expect("clean schedule");
+        ch.transmit_symbols(&random_symbols(12, 7), &cal)
+            .expect("clean schedule")
+            .durations
     };
     assert_eq!(run(), run());
 }
@@ -147,9 +151,9 @@ fn channel_works_at_any_pinned_frequency() {
         let mut cfg = ChannelConfig::default_cannon_lake();
         cfg.soc = SocConfig::pinned(PlatformSpec::cannon_lake(), Freq::from_ghz(ghz));
         let ch = IChannel::new(ChannelKind::Thread, cfg);
-        let cal = ch.calibrate(2);
+        let cal = ch.calibrate(2).expect("clean schedule");
         let symbols = random_symbols(8, 11);
-        let tx = ch.transmit_symbols(&symbols, &cal);
+        let tx = ch.transmit_symbols(&symbols, &cal).expect("clean schedule");
         assert_eq!(tx.received, symbols, "failed at {ghz} GHz");
     }
 }

@@ -49,7 +49,8 @@ fn table1_matrix_matches_paper() {
     ];
     for (mitigation, rows) in expect {
         for (kind, allowed) in rows {
-            let o = evaluate_mitigation(mitigation, kind, &base, 60, 2, 0xF00);
+            let o =
+                evaluate_mitigation(mitigation, kind, &base, 60, 2, 0xF00).expect("clean schedule");
             assert!(
                 allowed.contains(&o.effectiveness),
                 "{} vs {}: got {:?} (residual {:.0}/{:.0} b/s)",
@@ -108,10 +109,10 @@ fn turbocc_requires_turbo_but_ichannels_does_not() {
     let mut cfg = ChannelConfig::default_cannon_lake();
     cfg.soc = SocConfig::pinned(PlatformSpec::cannon_lake(), Freq::from_ghz(1.4));
     let ch = IChannel::new(ChannelKind::Thread, cfg);
-    let cal = ch.calibrate(2);
+    let cal = ch.calibrate(2).expect("clean schedule");
     let symbols: Vec<_> = (0..4u8)
         .map(ichannels_repro::ichannels::symbols::Symbol::new)
         .collect();
-    let tx = ch.transmit_symbols(&symbols, &cal);
+    let tx = ch.transmit_symbols(&symbols, &cal).expect("clean schedule");
     assert_eq!(tx.received, symbols);
 }

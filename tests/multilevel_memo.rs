@@ -60,11 +60,11 @@ fn multilevel_calibrate_is_pure_in_the_memo() {
     calibration::reset_memo();
 
     let ch = channel(LevelAlphabet::paper4());
-    let miss = ch.calibrate(1);
+    let miss = ch.calibrate(1).expect("clean schedule");
     let after_miss = calibration::memo_stats();
     assert_eq!(after_miss.misses, 1, "first calibrate must train");
 
-    let hit = ch.calibrate(1);
+    let hit = ch.calibrate(1).expect("clean schedule");
     let after_hit = calibration::memo_stats();
     assert_eq!(after_hit.hits, 1, "second calibrate must hit the memo");
     assert_eq!(miss, hit);
@@ -72,7 +72,7 @@ fn multilevel_calibrate_is_pure_in_the_memo() {
     // A different alphabet is a different memo cell: it trains anew
     // rather than serving the paper4 means.
     let other = channel(LevelAlphabet::phi6());
-    let other_means = other.calibrate(1);
+    let other_means = other.calibrate(1).expect("clean schedule");
     let after_other = calibration::memo_stats();
     assert_eq!(
         after_other.misses, 2,
@@ -82,7 +82,7 @@ fn multilevel_calibrate_is_pure_in_the_memo() {
 
     // Disabled cache recomputes the identical bytes.
     calibration::set_memo_enabled(false);
-    let uncached = ch.calibrate(1);
+    let uncached = ch.calibrate(1).expect("clean schedule");
     assert_eq!(miss, uncached);
 }
 
