@@ -27,6 +27,18 @@ fn bench_soc(c: &mut Criterion) {
             soc.run_until_idle(SimTime::from_ms(5.0))
         })
     });
+    // The same loop on the 28-core, 2-way-SMT server: per-event cost
+    // scales with the cores in use, not the cores on the package.
+    group.bench_function("phi_loop_1ms_skylake_server", |b| {
+        b.iter(|| {
+            let spec = PlatformSpec::skylake_server();
+            let freq = spec.pstates.highest_not_above(Freq::from_ghz(1.4));
+            let mut soc = Soc::new(SocConfig::pinned(spec, freq));
+            let insts = freq.as_hz() / 1_000; // 1 ms at IPC 1
+            soc.spawn(0, 0, Box::new(Script::run_loop(InstClass::Heavy256, insts)));
+            soc.run_until_idle(SimTime::from_ms(5.0))
+        })
+    });
     group.bench_function("idle_60s_fast_forward", |b| {
         b.iter(|| {
             let cfg = SocConfig::pinned(PlatformSpec::cannon_lake(), Freq::from_ghz(1.4));

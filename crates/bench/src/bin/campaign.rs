@@ -573,11 +573,26 @@ fn profile_main(args: &[String]) -> ExitCode {
             wall_ns / 1e6,
         );
         let step = snap.histogram("soc.step_ns");
+        let slots = snap.counter("soc.slots_simulated");
+        let events = snap.counter("soc.events");
         println!(
-            "  soc stepping: {:.1} ms over {} rearm(s), {} slot(s) simulated",
+            "  soc stepping: {:.1} ms over {} rearm(s), {slots} slot(s) simulated, \
+             {events} event(s), {:.1}/slot, {:.1} ns/event",
             step.sum as f64 / 1e6,
             snap.counter("soc.rearms"),
-            snap.counter("soc.slots_simulated"),
+            events as f64 / slots.max(1) as f64,
+            step.sum as f64 / events.max(1) as f64,
+        );
+        // Utilisation = worker busy time over the pool's capacity
+        // (workers × pool wall time); 100% means no worker ever waited.
+        let workers = snap.gauges.get("exec.threads").copied().unwrap_or(0);
+        let busy_ns = snap.histogram("exec.worker_busy_ns").sum;
+        let pool_ns = snap.histogram("exec.pool_wall_ns").sum;
+        println!(
+            "  executor: {workers} worker(s) busy {:.1} ms of {:.1} ms pool wall = {:.1}% utilisation",
+            busy_ns as f64 / 1e6,
+            pool_ns as f64 / 1e6,
+            busy_ns as f64 / (workers as f64 * pool_ns as f64).max(1.0) * 100.0,
         );
         println!(
             "  calibration memo: {} request(s) = {} hit(s) + {} miss(es)",

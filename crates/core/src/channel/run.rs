@@ -316,9 +316,9 @@ impl SymbolRun {
 }
 
 /// Runs one re-armed SoC until idle or `deadline`, recording the
-/// stepping time and the `slots` it simulated. The Instant is taken
-/// only while telemetry is on; timing lives strictly out-of-band and
-/// never feeds back into the simulation.
+/// stepping time, the `slots` it simulated and the events it stepped.
+/// The Instant is taken only while telemetry is on; timing lives
+/// strictly out-of-band and never feeds back into the simulation.
 pub(crate) fn run_until_idle_timed(soc: &mut Soc, deadline: SimTime, slots: u64) {
     // lint:allow(D002): telemetry-gated span timing; off by default
     // and never part of campaign bytes.
@@ -329,6 +329,7 @@ pub(crate) fn run_until_idle_timed(soc: &mut Soc, deadline: SimTime, slots: u64)
         ichannels_obs::observe("soc.step_ns", ns);
         ichannels_obs::counter_add("soc.slots_simulated", slots);
         ichannels_obs::counter_add("soc.rearms", 1);
+        ichannels_obs::counter_add("soc.events", soc.events_stepped());
     }
 }
 

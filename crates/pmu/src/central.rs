@@ -193,14 +193,17 @@ pub struct CentralPmu {
     rails: Vec<VrRail>,
     base_mv: f64,
     freq: Freq,
-    /// Rail targets are provably unchanged before this instant: license
-    /// levels are piecewise-constant between executions and decay
-    /// expiries, and `target_mv` depends only on those levels plus the
-    /// operating point. Any mutation (execution, P-state change, reset)
-    /// clears this to `SimTime::ZERO`; a completed decay scan advances it
-    /// to the earliest pending decay. Purely a skip memo for
-    /// [`Self::process_decays`] — it never alters results.
-    targets_valid_until: SimTime,
+    /// The earliest pending license decay (`SimTime::MAX` if none);
+    /// `SimTime::ZERO` when unknown. License levels, hence rail
+    /// targets, are piecewise-constant between executions and decay
+    /// expiries, so before this instant [`Self::next_decay`] would
+    /// return the same answer and [`Self::process_decays`] would find
+    /// every rail already at its target (a decay scan and an
+    /// operating-point change leave it there; an execution either
+    /// keeps the target or schedules the raised one itself). Cleared by
+    /// `on_execute` and `reset`. One skip memo for both: it never
+    /// alters results.
+    decay_horizon: SimTime,
 }
 
 impl CentralPmu {
@@ -235,7 +238,7 @@ impl CentralPmu {
             rails,
             base_mv,
             freq,
-            targets_valid_until: SimTime::ZERO,
+            decay_horizon: SimTime::ZERO,
         }
     }
 
@@ -266,7 +269,7 @@ impl CentralPmu {
         for license in &mut self.licenses {
             license.reset();
         }
-        self.targets_valid_until = SimTime::ZERO;
+        self.decay_horizon = SimTime::ZERO;
     }
 
     /// PMU configuration.
@@ -361,7 +364,7 @@ impl CentralPmu {
         // Even a same-level execution extends the license window, which
         // moves the pending decay — the cached decay-scan horizon is
         // stale either way.
-        self.targets_valid_until = SimTime::ZERO;
+        self.decay_horizon = SimTime::ZERO;
         if self.cfg.secure_mode || need <= current {
             return ExecGrant {
                 ready_at: now,
@@ -378,8 +381,21 @@ impl CentralPmu {
     }
 
     /// The next instant at which any core's license decays, if any.
-    pub fn next_decay(&self, now: SimTime) -> Option<SimTime> {
-        self.licenses.iter().filter_map(|l| l.next_decay(now)).min()
+    ///
+    /// Memoised until that instant or the next execution. Callers ask
+    /// with non-decreasing `now` and run [`Self::process_decays`] at
+    /// each reported instant before asking past it — the simulator
+    /// does both, since a decay is one of its events.
+    pub fn next_decay(&mut self, now: SimTime) -> Option<SimTime> {
+        if now >= self.decay_horizon {
+            self.decay_horizon = self
+                .licenses
+                .iter()
+                .filter_map(|l| l.next_decay(now))
+                .min()
+                .unwrap_or(SimTime::MAX);
+        }
+        (self.decay_horizon != SimTime::MAX).then_some(self.decay_horizon)
     }
 
     /// Processes license decays at `now`: recomputes rail targets and
@@ -389,11 +405,10 @@ impl CentralPmu {
         if self.cfg.secure_mode {
             return false;
         }
-        // License levels (hence rail targets) cannot have changed since
-        // the last scan before the earliest pending decay, so the scan
-        // below would compare every rail against an identical target and
-        // report no change — skip it.
-        if now < self.targets_valid_until {
+        // Before the earliest pending decay every rail is at its target
+        // (see `decay_horizon`), so the scan below would report no
+        // change — skip it.
+        if now < self.decay_horizon {
             return false;
         }
         let mut changed = false;
@@ -405,7 +420,9 @@ impl CentralPmu {
                 changed = true;
             }
         }
-        self.targets_valid_until = self.next_decay(now).unwrap_or(SimTime::MAX);
+        // The scan ran because `now` reached the horizon, so this
+        // recomputes it.
+        self.next_decay(now);
         changed
     }
 
@@ -421,7 +438,7 @@ impl CentralPmu {
         }
         // Every rail setpoint now equals its target at `now`, and targets
         // hold until the next license decay.
-        self.targets_valid_until = self.next_decay(now).unwrap_or(SimTime::MAX);
+        self.next_decay(now);
     }
 
     /// The final setpoint of the (first) rail — the package voltage once
@@ -517,6 +534,29 @@ mod tests {
         let t2 = SimTime::from_us(700.0);
         let g2 = p.on_execute(0, InstClass::Heavy256, t2);
         assert!(g2.ready_at > t2);
+    }
+
+    #[test]
+    fn next_decay_memo_follows_executions_and_decays() {
+        let mut p = pmu();
+        assert_eq!(p.next_decay(SimTime::ZERO), None);
+        // An execution invalidates even a "nothing pending" answer.
+        p.on_execute(0, InstClass::Heavy256, SimTime::ZERO);
+        assert_eq!(p.next_decay(SimTime::ZERO), Some(SimTime::from_us(650.0)));
+        p.on_execute(1, InstClass::Heavy512, SimTime::from_us(100.0));
+        assert_eq!(
+            p.next_decay(SimTime::from_us(100.0)),
+            Some(SimTime::from_us(650.0))
+        );
+        // Reaching the horizon moves it to the next pending decay.
+        assert!(p.process_decays(SimTime::from_us(650.0)));
+        assert_eq!(
+            p.next_decay(SimTime::from_us(650.0)),
+            Some(SimTime::from_us(750.0))
+        );
+        assert!(p.process_decays(SimTime::from_us(750.0)));
+        assert_eq!(p.next_decay(SimTime::from_us(750.0)), None);
+        assert_eq!(p.package_setpoint_mv(), p.base_mv());
     }
 
     #[test]

@@ -140,6 +140,20 @@ pub struct Soc {
     /// `spawn`/halt so `all_idle` (checked once per event in
     /// `run_until_idle`) is a comparison instead of a full scan.
     live_programs: usize,
+    /// Cores spawned on since `new`/`rearm`, ascending. Every other
+    /// core is still as constructed — no program, no throttle, an
+    /// empty license, a closed (or always-open) AVX gate — so it adds
+    /// exactly `+0.0` to the current and guardband sums, `IDLE` to the
+    /// activity list and `Scalar64` to the max-class fold. A core stays
+    /// listed after its program halts (its license still decays and its
+    /// gate must still close). The per-event loops walk only these
+    /// cores; ascending order keeps
+    /// the f64 summation order, the RNG draw order of the noise scan
+    /// and the activation order of the completion scan unchanged.
+    in_use: Vec<usize>,
+    /// Events stepped since `new`/`rearm` (a plain work counter; the
+    /// channel layer flushes it to telemetry once per run).
+    events: u64,
 }
 
 impl Soc {
@@ -206,6 +220,8 @@ impl Soc {
             rate_scratch: Vec::new(),
             next_noise_due: SimTime::ZERO,
             live_programs: 0,
+            in_use: Vec::new(),
+            events: 0,
         }
     }
 
@@ -256,6 +272,8 @@ impl Soc {
         self.rate_scratch.clear();
         self.next_noise_due = SimTime::ZERO;
         self.live_programs = 0;
+        self.in_use.clear();
+        self.events = 0;
     }
 
     // ----- accessors -------------------------------------------------
@@ -337,6 +355,11 @@ impl Soc {
         self.live_programs == 0
     }
 
+    /// Events stepped since construction or the last `rearm`.
+    pub fn events_stepped(&self) -> u64 {
+        self.events
+    }
+
     // ----- program management ----------------------------------------
 
     /// Pins `program` to hardware thread (`core`, `smt`) and starts it at
@@ -357,6 +380,9 @@ impl Soc {
         );
         self.cores[core].ctxs[smt].program = Some(program);
         self.live_programs += 1;
+        if let Err(pos) = self.in_use.binary_search(&core) {
+            self.in_use.insert(pos, core);
+        }
         self.activate(core, smt);
     }
 
@@ -448,7 +474,8 @@ impl Soc {
             if !self.cfg.per_core_vr {
                 let ready = grant.ready_at;
                 let now = self.now;
-                for other in self.cores.iter_mut() {
+                for &ci in &self.in_use {
+                    let other = &mut self.cores[ci];
                     if other.throttled_until > now {
                         other.throttled_until = other.throttled_until.max(ready);
                     }
@@ -501,7 +528,7 @@ impl Soc {
         let mut projected = std::mem::take(&mut self.proj_scratch);
         let mut acts = std::mem::take(&mut self.proj_acts_scratch);
         let p = &self.cfg.platform;
-        // One pass over the cores gathers everything the search needs:
+        // One pass over the cores in use gathers everything the search needs:
         // the demanded turbo license, the active-core count, and the
         // worst-case projection (Key Conclusion 2) — unthrottled
         // activity, and the license each core is *about* to hold (its
@@ -511,7 +538,8 @@ impl Soc {
         acts.clear();
         let mut lic = self.turbo.current();
         let mut active = 0usize;
-        for (i, core) in self.cores.iter().enumerate() {
+        for &i in &self.in_use {
+            let core = &self.cores[i];
             let licensed = self.pmu.effective_class(i, self.now);
             let mut running: Option<InstClass> = None;
             for x in &core.ctxs {
@@ -608,6 +636,7 @@ impl Soc {
         if self.now >= limit {
             return false;
         }
+        self.events += 1;
         // --- 1. find the next event time ---
         // Retirement rates computed during the event search are cached
         // per hardware thread and replayed in phase 2: rates are
@@ -626,7 +655,8 @@ impl Soc {
                 t_next = t;
             }
         };
-        for (ci, core) in self.cores.iter().enumerate() {
+        for &ci in &self.in_use {
+            let core = &self.cores[ci];
             if core.throttled_until > now {
                 consider(core.throttled_until);
             }
@@ -704,18 +734,18 @@ impl Soc {
         self.acts_scratch = acts;
         let dt_secs = dt.as_secs();
         let mut slot = 0;
-        for ci in 0..self.cores.len() {
-            for si in 0..self.cores[ci].ctxs.len() {
+        for &ci in &self.in_use {
+            for ctx in &mut self.cores[ci].ctxs {
                 let rate = rates[slot];
                 slot += 1;
                 if rate > 0.0 {
                     if let CtxState::Running {
                         ref mut remaining, ..
-                    } = self.cores[ci].ctxs[si].state
+                    } = ctx.state
                     {
                         let done = rate * dt_secs;
                         *remaining -= done;
-                        self.cores[ci].ctxs[si].inst_retired += done;
+                        ctx.inst_retired += done;
                     }
                 }
             }
@@ -749,7 +779,7 @@ impl Soc {
         if self.pmu.process_decays(now) {
             // Close AVX power-gates on cores whose license dropped below
             // the 256-bit classes.
-            for ci in 0..self.cores.len() {
+            for &ci in &self.in_use {
                 if self.pmu.effective_level(ci, now) < InstClass::Light256.intensity_rank() {
                     self.cores[ci].avx_gate.close();
                 }
@@ -769,25 +799,16 @@ impl Soc {
         // every per-context due-check below would be false).
         let noise = self.cfg.noise;
         if self.next_noise_due <= now {
-            for ci in 0..self.cores.len() {
-                for si in 0..self.cores[ci].ctxs.len() {
-                    if self.cores[ci].ctxs[si].program.is_none() {
+            for &ci in &self.in_use {
+                for ctx in &mut self.cores[ci].ctxs {
+                    if ctx.program.is_none() {
                         continue;
                     }
-                    let due = self.cores[ci].ctxs[si]
-                        .arrivals
-                        .next()
-                        .is_some_and(|(t, _)| t <= now);
+                    let due = ctx.arrivals.next().is_some_and(|(t, _)| t <= now);
                     if due {
-                        let service = {
-                            let ctx = &mut self.cores[ci].ctxs[si];
-                            ctx.arrivals.consume_due(&noise, &mut self.rng, now)
-                        };
-                        if !service.is_zero() {
-                            let ctx = &mut self.cores[ci].ctxs[si];
-                            if matches!(ctx.state, CtxState::Running { .. }) {
-                                ctx.paused_until = ctx.paused_until.max(now) + service;
-                            }
+                        let service = ctx.arrivals.consume_due(&noise, &mut self.rng, now);
+                        if !service.is_zero() && matches!(ctx.state, CtxState::Running { .. }) {
+                            ctx.paused_until = ctx.paused_until.max(now) + service;
                         }
                     }
                 }
@@ -795,7 +816,10 @@ impl Soc {
         }
 
         // (e) Block completions and (f) wait expiries → reactivate.
-        for ci in 0..self.cores.len() {
+        // Indexed: `activate` needs `&mut self` (it never spawns, so the
+        // in-use list cannot change under the loop).
+        for k in 0..self.in_use.len() {
+            let ci = self.in_use[k];
             for si in 0..self.cores[ci].ctxs.len() {
                 let due = match self.cores[ci].ctxs[si].state {
                     CtxState::Running { remaining, .. } => {
